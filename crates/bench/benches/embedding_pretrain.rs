@@ -1,6 +1,8 @@
 //! Criterion: node-embedding pre-training throughput (the "Embedding"
 //! column of Table 4) — ProNE vs DeepWalk on the label-augmented graph.
 
+#![allow(clippy::expect_used, reason = "a benchmark aborts on a broken fixture")]
+
 use alss_datasets::by_name;
 use alss_embedding::prone::{prone, ProneConfig};
 use alss_embedding::skipgram::SkipGramConfig;

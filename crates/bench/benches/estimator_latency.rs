@@ -1,6 +1,8 @@
 //! Criterion: per-query estimation latency of the G-CARE baselines
 //! (the baseline series of Fig. 8).
 
+#![allow(clippy::expect_used, reason = "a benchmark aborts on a broken fixture")]
+
 use alss_datasets::by_name;
 use alss_datasets::queries::unlabeled_pool;
 use alss_estimators::{

@@ -1,6 +1,8 @@
 //! Criterion: exact counting latency (the GFlow/GQL series of Figs. 8–9)
 //! and the sequential-vs-parallel engine speedup.
 
+#![allow(clippy::expect_used, reason = "a benchmark aborts on a broken fixture")]
+
 use alss_datasets::by_name;
 use alss_datasets::queries::unlabeled_pool;
 use alss_matching::{

@@ -1,6 +1,8 @@
 //! Criterion: core autograd kernels (matmul forward/backward, GIN
 //! aggregation, attention block) at LSS-realistic shapes.
 
+#![allow(clippy::expect_used, reason = "a benchmark aborts on a broken fixture")]
+
 use alss_nn::loss::mse_log_loss;
 use alss_nn::{adjacency_from_edges, GinEncoder, Mat, ParamStore, SelfAttention, Tape};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

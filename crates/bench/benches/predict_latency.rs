@@ -2,6 +2,8 @@
 //! series of Figs. 8–9 — prediction cost depends only on the architecture
 //! and query size, not on the data graph).
 
+#![allow(clippy::expect_used, reason = "a benchmark aborts on a broken fixture")]
+
 use alss_core::workload::LabeledQuery;
 use alss_core::{LearnedSketch, SketchConfig, TrainConfig, Workload};
 use alss_datasets::by_name;

@@ -4,6 +4,12 @@
 //!
 //! Run: `cargo run -p alss-bench --bin ablation_embedding --release`
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "stdout is this binary's interface; it aborts on a broken fixture"
+)]
+
 use alss_bench::scenario::{bench_model_config, bench_train_config, load_scenario};
 use alss_bench::table::fnum;
 use alss_bench::TableWriter;

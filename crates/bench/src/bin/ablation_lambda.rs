@@ -4,6 +4,8 @@
 //!
 //! Run: `cargo run -p alss-bench --bin ablation_lambda --release`
 
+#![allow(clippy::print_stdout, reason = "stdout is this binary's interface")]
+
 use alss_bench::evalkit::train_eval_config;
 use alss_bench::scenario::{bench_model_config, bench_train_config, load_scenario};
 use alss_bench::TableWriter;

@@ -4,6 +4,8 @@
 //!
 //! Run: `cargo run -p alss-bench --bin fig11 --release`
 
+#![allow(clippy::print_stdout, reason = "stdout is this binary's interface")]
+
 use alss_bench::scenario::{bench_model_config, bench_train_config, load_scenario};
 use alss_bench::TableWriter;
 use alss_core::encode::EncodingKind;

@@ -4,6 +4,8 @@
 //!
 //! Run: `cargo run -p alss-bench --bin fig12 --release [datasets...]`
 
+#![allow(clippy::print_stdout, reason = "stdout is this binary's interface")]
+
 use alss_bench::scenario::{
     bench_model_config, bench_train_config, load_scenario, per_size, selected_datasets,
 };

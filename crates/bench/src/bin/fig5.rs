@@ -3,6 +3,8 @@
 //!
 //! Run: `cargo run -p alss-bench --bin fig5 --release [datasets...]`
 
+#![allow(clippy::print_stdout, reason = "stdout is this binary's interface")]
+
 use alss_bench::evalkit::run_homomorphism_baselines;
 use alss_bench::scenario::{load_scenario, selected_datasets};
 use alss_bench::TableWriter;

@@ -4,6 +4,8 @@
 //!
 //! Run: `cargo run -p alss-bench --bin fig6 --release`
 
+#![allow(clippy::print_stdout, reason = "stdout is this binary's interface")]
+
 use alss_bench::evalkit::{run_homomorphism_baselines, train_and_eval_lss, MethodResult};
 use alss_bench::scenario::load_scenario;
 use alss_bench::TableWriter;
@@ -15,8 +17,10 @@ use rand::SeedableRng;
 fn bucket_of(truth: f64) -> usize {
     // buckets: [1,1e2), [1e2,1e4), [1e4,1e6), [1e6,inf)
     let l = truth.max(1.0).log10();
-    // l/2 ∈ [0, 155) for finite counts, then clamped to the 4 buckets
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "l/2 ∈ [0, 155) for finite counts, then clamped to the 4 buckets"
+    )]
     let b = (l / 2.0).floor() as usize;
     b.min(3)
 }

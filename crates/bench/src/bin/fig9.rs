@@ -3,6 +3,8 @@
 //!
 //! Run: `cargo run -p alss-bench --bin fig9 --release [datasets...]`
 
+#![allow(clippy::print_stdout, reason = "stdout is this binary's interface")]
+
 use alss_bench::evalkit::{
     encodings_for, run_exact, run_isomorphism_baselines, train_and_eval_lss, MethodResult,
 };

@@ -3,6 +3,8 @@
 //!
 //! Run: `cargo run -p alss-bench --bin table2 --release`
 
+#![allow(clippy::print_stdout, reason = "stdout is this binary's interface")]
+
 use alss_bench::table::fnum;
 use alss_bench::{load_dataset, TableWriter};
 use alss_graph::labels::LabelStats;

@@ -3,6 +3,8 @@
 //!
 //! Run: `cargo run -p alss-bench --bin table3 --release`
 
+#![allow(clippy::print_stdout, reason = "stdout is this binary's interface")]
+
 use alss_bench::scenario::load_scenario;
 use alss_bench::TableWriter;
 use alss_graph::labels::label_coverage;

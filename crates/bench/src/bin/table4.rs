@@ -3,6 +3,8 @@
 //!
 //! Run: `cargo run -p alss-bench --bin table4 --release [datasets...]`
 
+#![allow(clippy::print_stdout, reason = "stdout is this binary's interface")]
+
 use alss_bench::evalkit::{encodings_for, train_and_eval_lss};
 use alss_bench::scenario::{load_scenario, selected_datasets};
 use alss_bench::table::fnum;

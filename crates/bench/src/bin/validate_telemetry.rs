@@ -14,6 +14,12 @@
 //! than a failing one. Exits non-zero on any violation, printing the
 //! offending line. The rules live in [`alss_bench::validate`].
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "stdout and stderr are this binary's interface"
+)]
+
 use alss_bench::validate::{parse_args, validate_capture};
 use std::process::ExitCode;
 

@@ -16,17 +16,6 @@
 //! * `ALSS_FULL=1` — paper-fidelity model (3×64 GIN, 4-head attention)
 //!   instead of the fast default (2×32, 2 heads).
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
-#![cfg_attr(
-    test,
-    allow(
-        clippy::unwrap_used,
-        clippy::float_cmp,
-        clippy::cast_possible_truncation
-    )
-)]
-
 pub mod evalkit;
 pub mod scenario;
 pub mod table;
@@ -38,4 +27,4 @@ pub use scenario::{
     per_size, scale, Scenario,
 };
 pub use table::TableWriter;
-pub use telemetry::{init_telemetry, strip_run_flags, threads_flag, TelemetryGuard};
+pub use telemetry::{init_telemetry, strip_run_flags, threads_flag};

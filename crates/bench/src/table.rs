@@ -60,6 +60,10 @@ impl TableWriter {
     }
 
     /// Print to stdout.
+    #[expect(
+        clippy::print_stdout,
+        reason = "the bench binaries' report tables are their stdout output"
+    )]
     pub fn print(&self) {
         print!("{}", self.render());
     }

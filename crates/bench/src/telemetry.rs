@@ -7,35 +7,11 @@
 //! ALSS_TELEMETRY=spans cargo run --features telemetry --bin fig4 -- --telemetry out.jsonl
 //! ```
 //!
-//! * `--telemetry <path>` (or `--telemetry=<path>`) installs the JSON-lines
-//!   file sink; the recording mask comes from `ALSS_TELEMETRY` and defaults
-//!   to everything when the variable is unset.
-//! * Without the flag, `ALSS_TELEMETRY` alone installs the pretty stderr
-//!   sink (see [`alss_telemetry::init_from_env`]).
-//! * When the binary was built without `--features telemetry` the flag is
-//!   acknowledged with a warning and ignored — probes are compiled out.
-//!
-//! On drop the guard emits a final metrics-registry snapshot and flushes,
-//! so a JSONL capture always ends with the aggregate counters/histograms.
+//! `--telemetry <path>` (or `--telemetry=<path>`) is handed to
+//! [`alss_telemetry::setup`], which documents the sinks and masks, and
+//! `--threads <n>` sizes the global worker pool.
 
-use alss_telemetry::{Category, JsonLinesSink};
-use std::path::Path;
-use std::sync::Arc;
-
-/// Keeps the sink installed for the lifetime of `main`; emits the final
-/// snapshot and flushes on drop.
-pub struct TelemetryGuard {
-    active: bool,
-}
-
-impl Drop for TelemetryGuard {
-    fn drop(&mut self) {
-        if self.active {
-            alss_telemetry::emit_snapshot();
-            alss_telemetry::flush();
-        }
-    }
-}
+use alss_telemetry::TelemetryGuard;
 
 /// Extract the `--telemetry <path>` / `--telemetry=<path>` flag from the
 /// raw argument list, returning the path when present.
@@ -86,45 +62,16 @@ pub fn strip_run_flags(args: Vec<String>) -> Vec<String> {
     out
 }
 
-/// Back-compat alias for [`strip_run_flags`].
-pub fn strip_telemetry_flag(args: Vec<String>) -> Vec<String> {
-    strip_run_flags(args)
-}
-
-/// Set up telemetry for a binary named `topic`. Must be called before any
-/// instrumented work; keep the returned guard alive until exit.
+/// Set up telemetry for a binary named `topic` from its own command line.
+/// Must be called before any instrumented work; keep the returned guard
+/// alive until exit.
 pub fn init_telemetry(topic: &str) -> TelemetryGuard {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(n) = threads_flag(&args).filter(|&n| n > 0) {
         alss_core::set_global_threads(n);
         alss_telemetry::progress(topic, &format!("threads: {n}"));
     }
-    match telemetry_path(&args) {
-        Some(path) => {
-            if !alss_telemetry::compiled_in() {
-                alss_telemetry::progress(
-                    topic,
-                    "--telemetry ignored: binary built without --features telemetry",
-                );
-                return TelemetryGuard { active: false };
-            }
-            match JsonLinesSink::create(Path::new(&path)) {
-                Ok(sink) => {
-                    let mask = alss_telemetry::mask_from_env().unwrap_or(Category::ALL);
-                    alss_telemetry::install(Arc::new(sink), mask);
-                    TelemetryGuard { active: true }
-                }
-                Err(e) => {
-                    alss_telemetry::progress(topic, &format!("cannot open {path}: {e}"));
-                    TelemetryGuard { active: false }
-                }
-            }
-        }
-        None => {
-            let mask = alss_telemetry::init_from_env();
-            TelemetryGuard { active: mask != 0 }
-        }
-    }
+    alss_telemetry::setup(topic, telemetry_path(&args).as_deref())
 }
 
 #[cfg(test)]

@@ -27,14 +27,12 @@
 //! The one-call facade is [`sketch::LearnedSketch`]; accuracy metrics
 //! (q-error, Eq. 1) live in [`metrics`].
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
 #![cfg_attr(
     test,
     allow(
-        clippy::unwrap_used,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact, bit-reproducible float results over tiny fixtures"
     )
 )]
 

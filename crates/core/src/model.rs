@@ -245,8 +245,10 @@ impl LssModel {
         rng: &mut R,
     ) -> Var {
         let (reg, logits) = self.forward(tape, query, rng);
-        // log10 of a u64 fits comfortably in f32 (< 20)
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "log10 of a u64 fits comfortably in f32 (< 20)"
+        )]
         let target_log = (true_count.max(1) as f64).log10() as f32;
         let l_reg = mse_log_loss(tape, reg, &[target_log]);
         let cls = magnitude_class(true_count as f64, self.cfg.num_classes);

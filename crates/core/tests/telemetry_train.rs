@@ -5,6 +5,10 @@
 //! `alss-telemetry/telemetry`); without it the probes are constant no-ops
 //! and there is nothing to observe.
 #![cfg(feature = "telemetry")]
+#![allow(
+    clippy::panic,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
+)]
 
 use alss_core::train::{encode_workload, finetune_model, seeded_rng, train_model, TrainConfig};
 use alss_core::{Encoder, LabeledQuery, LssConfig, LssModel, Workload};

@@ -28,14 +28,11 @@
 //! assert!(workload.queries.iter().all(|q| q.count >= 1));
 //! ```
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
 #![cfg_attr(
     test,
     allow(
-        clippy::unwrap_used,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        reason = "tests assert exact, bit-reproducible float results"
     )
 )]
 

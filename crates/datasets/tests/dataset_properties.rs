@@ -1,12 +1,11 @@
 //! Property tests over the synthetic-dataset generators and workload
 //! machinery.
 
-// Test code opts back out of the library panic/numeric policy: a panic IS
-// the failure report here, and fixtures are tiny.
 #![allow(
     clippy::unwrap_used,
     clippy::float_cmp,
-    clippy::cast_possible_truncation
+    clippy::cast_possible_truncation,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 
 use alss_datasets::queries::{generate_workload, unlabeled_pool, WorkloadSpec};

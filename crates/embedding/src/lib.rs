@@ -40,14 +40,11 @@
 //! assert_eq!(emb.dim(), 4);
 //! ```
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
 #![cfg_attr(
     test,
     allow(
-        clippy::unwrap_used,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        reason = "tests assert exact, bit-reproducible float results"
     )
 )]
 

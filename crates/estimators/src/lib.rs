@@ -33,14 +33,12 @@
 //! assert!((est.count - 8.0).abs() < 2.0); // 2|E| = 8 ordered edge matchings
 //! ```
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
 #![cfg_attr(
     test,
     allow(
-        clippy::unwrap_used,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact, bit-reproducible float results over tiny fixtures"
     )
 )]
 

@@ -2,12 +2,11 @@
 //! are exact on the structures they model, samplers are unbiased where
 //! analysis says so, and all estimators degrade gracefully.
 
-// Test code opts back out of the library panic/numeric policy: a panic IS
-// the failure report here, and fixtures are tiny.
 #![allow(
     clippy::unwrap_used,
     clippy::float_cmp,
-    clippy::cast_possible_truncation
+    clippy::cast_possible_truncation,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 
 use alss_estimators::{

@@ -28,17 +28,6 @@
 //! assert!(plans.iter().any(|d| d.bags.len() == 1));
 //! ```
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
-#![cfg_attr(
-    test,
-    allow(
-        clippy::unwrap_used,
-        clippy::float_cmp,
-        clippy::cast_possible_truncation
-    )
-)]
-
 pub mod cover;
 pub mod enumerate;
 pub mod plan;

@@ -1,12 +1,11 @@
 //! Property tests for the LP machinery: the fractional edge cover against
 //! a brute-force integral cover, and AGM-bound invariants.
 
-// Test code opts back out of the library panic/numeric policy: a panic IS
-// the failure report here, and fixtures are tiny.
 #![allow(
     clippy::unwrap_used,
     clippy::float_cmp,
-    clippy::cast_possible_truncation
+    clippy::cast_possible_truncation,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 
 use alss_ghd::cover::{agm_bound, fractional_edge_cover};

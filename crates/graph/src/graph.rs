@@ -123,7 +123,10 @@ pub struct EdgeRef {
 }
 
 impl Graph {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "crate-private constructor taking every CSR array"
+    )]
     pub(crate) fn from_parts(
         offsets: Vec<u32>,
         neighbors: Vec<NodeId>,

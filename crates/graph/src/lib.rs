@@ -38,14 +38,12 @@
 //! assert_eq!(subs.len(), 4);
 //! ```
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
 #![cfg_attr(
     test,
     allow(
-        clippy::unwrap_used,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact, bit-reproducible float results over tiny fixtures"
     )
 )]
 
@@ -85,8 +83,10 @@ pub fn node_id(i: usize) -> NodeId {
         u32::try_from(i).is_ok(),
         "node index {i} exceeds the u32 id space"
     );
-    #[allow(clippy::cast_possible_truncation)]
-    // bounded: checked above, and |V| < 2^32 by representation
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bounded: checked above, and |V| < 2^32 by representation"
+    )]
     {
         i as NodeId
     }
@@ -100,8 +100,10 @@ pub fn label_id(i: usize) -> LabelId {
         u32::try_from(i).is_ok(),
         "label index {i} exceeds the u32 id space"
     );
-    #[allow(clippy::cast_possible_truncation)]
-    // bounded: checked above, and |Σ| < 2^32 by representation
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bounded: checked above, and |Σ| < 2^32 by representation"
+    )]
     {
         i as LabelId
     }

@@ -2,12 +2,11 @@
 //! under node permutations (isomorphic re-numberings), and structurally
 //! distinct queries must essentially never share a key.
 
-// Test code opts back out of the library panic/numeric policy: a panic IS
-// the failure report here, and fixtures are tiny.
 #![allow(
     clippy::unwrap_used,
     clippy::float_cmp,
-    clippy::cast_possible_truncation
+    clippy::cast_possible_truncation,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 
 use alss_graph::canon::{canonical_hash, canonical_key};

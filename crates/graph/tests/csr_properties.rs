@@ -3,12 +3,11 @@
 //! wildcards — must validate, and the serde round trip must preserve both
 //! the graph and its validity.
 
-// Test code opts back out of the library panic/numeric policy: a panic IS
-// the failure report here, and fixtures are tiny.
 #![allow(
     clippy::unwrap_used,
     clippy::float_cmp,
-    clippy::cast_possible_truncation
+    clippy::cast_possible_truncation,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 
 use alss_graph::{Graph, GraphBuilder, WILDCARD};

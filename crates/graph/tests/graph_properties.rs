@@ -1,12 +1,11 @@
 //! Property tests for the graph substrate: CSR invariants, builder
 //! determinism, BFS trees, decomposition, extraction, and text IO.
 
-// Test code opts back out of the library panic/numeric policy: a panic IS
-// the failure report here, and fixtures are tiny.
 #![allow(
     clippy::unwrap_used,
     clippy::float_cmp,
-    clippy::cast_possible_truncation
+    clippy::cast_possible_truncation,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 
 use alss_graph::extract::{extract_query, ExtractOptions};

@@ -33,14 +33,11 @@
 //! assert_eq!(count_isomorphisms(&data, &path, &b).unwrap(), 6);   // injective only
 //! ```
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
 #![cfg_attr(
     test,
     allow(
-        clippy::unwrap_used,
-        clippy::float_cmp,
-        clippy::cast_possible_truncation
+        clippy::cast_possible_truncation,
+        reason = "test fixtures are tiny, so their counts fit any width"
     )
 )]
 

@@ -1,12 +1,11 @@
 //! Property tests: the backtracking engine against a brute-force
 //! reference counter that enumerates *all* `|V|^{|V_q|}` mappings.
 
-// Test code opts back out of the library panic/numeric policy: a panic IS
-// the failure report here, and fixtures are tiny.
 #![allow(
     clippy::unwrap_used,
     clippy::float_cmp,
-    clippy::cast_possible_truncation
+    clippy::cast_possible_truncation,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 
 use alss_graph::{label_matches, Graph, GraphBuilder, WILDCARD};

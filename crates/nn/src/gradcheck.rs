@@ -43,7 +43,7 @@ pub fn check_gradients(
     let ids: Vec<_> = store.ids().collect();
     for (pi, id) in ids.iter().enumerate() {
         let n = store.value(*id).len();
-        #[allow(clippy::needless_range_loop)] // e indexes two containers
+        #[expect(clippy::needless_range_loop, reason = "e indexes two containers")]
         for e in 0..n {
             let orig = store.value(*id).data()[e];
             store.value_mut(*id).data_mut()[e] = orig + eps;

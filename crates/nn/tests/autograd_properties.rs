@@ -2,12 +2,11 @@
 //! with central finite differences on random inputs, and algebraic
 //! identities of the `Mat` kernels hold.
 
-// Test code opts back out of the library panic/numeric policy: a panic IS
-// the failure report here, and fixtures are tiny.
 #![allow(
     clippy::unwrap_used,
     clippy::float_cmp,
-    clippy::cast_possible_truncation
+    clippy::cast_possible_truncation,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 
 use alss_nn::gradcheck::check_gradients;

@@ -3,12 +3,11 @@
 //! chain must agree with central differences, and every tensor produced
 //! along the way must stay finite.
 
-// Test code opts back out of the library panic/numeric policy: a panic IS
-// the failure report here, and fixtures are tiny.
 #![allow(
     clippy::unwrap_used,
     clippy::float_cmp,
-    clippy::cast_possible_truncation
+    clippy::cast_possible_truncation,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 
 use alss_nn::gradcheck::check_gradients;

@@ -1,4 +1,3 @@
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! `alss-serve` — batched estimate serving for the learned sketch.
 //!
 //! A std-only, multi-threaded TCP server that loads a trained
@@ -29,7 +28,6 @@ pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod engine;
-pub mod obs;
 pub mod proto;
 pub mod server;
 
@@ -37,6 +35,5 @@ pub use batch::{BatchConfig, Batcher, Job};
 pub use cache::{CachedEstimate, ShardedLru};
 pub use client::{run_load, Client, LoadReport};
 pub use engine::{load_sketch_with_retry, magnitude_class_of, Outcome};
-pub use obs::{init_telemetry, TelemetryGuard};
 pub use proto::{Request, Response};
 pub use server::{serve, ServeConfig, ServerHandle};

@@ -282,7 +282,6 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
 /// `log10` = queue depth, `magnitude_class` = cache capacity. `degraded`
 /// reports modelless mode.
 fn stats_response(req: &Request, shared: &Shared) -> Response {
-    #[allow(clippy::cast_precision_loss)] // diagnostics, not counts
     Response {
         id: req.id,
         ok: true,

@@ -2,7 +2,11 @@
 //! threads the cache never exceeds its capacity bound and never returns a
 //! value that was not inserted for exactly that key.
 
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
+)]
 
 use alss_graph::CanonicalKey;
 use alss_serve::{CachedEstimate, ShardedLru};
@@ -20,7 +24,6 @@ fn key(i: u64) -> CanonicalKey {
 /// The value for a key is a pure function of the key, so any torn or
 /// misrouted read is detectable.
 fn value_for(i: u64) -> CachedEstimate {
-    #[allow(clippy::cast_precision_loss)]
     CachedEstimate {
         log10: (i as f64) * 0.25,
         magnitude_class: i % 21,

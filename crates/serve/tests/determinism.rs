@@ -4,7 +4,11 @@
 //! degraded fallback path. Companion to `alss-core`'s determinism suite
 //! (which CI runs under an `ALSS_THREADS` matrix).
 
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
+)]
 
 use alss_core::{LabeledQuery, LearnedSketch, Parallelism, SketchConfig, Workload};
 use alss_graph::builder::graph_from_edges;

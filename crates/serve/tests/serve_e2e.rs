@@ -2,7 +2,11 @@
 //! cache hits on isomorphic re-submissions, deadline-forced degradation,
 //! control ops, malformed input, modelless mode, and clean shutdown.
 
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
+)]
 
 use alss_core::{LabeledQuery, Parallelism};
 use alss_core::{LearnedSketch, SketchConfig, Workload};

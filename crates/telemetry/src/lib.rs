@@ -44,14 +44,11 @@
 //! {"type":"snapshot","counters":{"matching.nodes_expanded":10234},"gauges":{},"histograms":{"matching.root_us":{"count":96,"sum":5120,"mean":53.3,"p50":48,"p95":96,"p99":96,"max":101}}}
 //! ```
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
 #![cfg_attr(
     test,
     allow(
-        clippy::unwrap_used,
         clippy::float_cmp,
-        clippy::cast_possible_truncation
+        reason = "tests assert exact, bit-reproducible float results"
     )
 )]
 
@@ -93,7 +90,6 @@ impl Category {
 }
 
 static MASK: AtomicU8 = AtomicU8::new(0);
-#[allow(clippy::type_complexity)]
 static SINK: RwLock<Option<Arc<dyn Sink + Send + Sync>>> = RwLock::new(None);
 
 /// Is recording for `cat` enabled? Constant `false` without the
@@ -178,6 +174,65 @@ pub fn init_from_env() -> u8 {
     mask
 }
 
+/// Keeps a binary's sink installed for the lifetime of `main`. On drop it
+/// emits a final metrics-registry snapshot and flushes, so a capture
+/// always ends with the aggregate counters and histograms.
+pub struct TelemetryGuard {
+    active: bool,
+}
+
+impl TelemetryGuard {
+    /// `true` when a sink is installed and the final snapshot will be
+    /// emitted on drop.
+    pub fn is_active(&self) -> bool {
+        self.active
+    }
+}
+
+impl Drop for TelemetryGuard {
+    fn drop(&mut self) {
+        if self.active {
+            emit_snapshot();
+            flush();
+        }
+    }
+}
+
+/// Set up telemetry for a binary named `topic`, the one entry point every
+/// binary shares. Call it before any instrumented work and keep the guard
+/// alive until exit.
+///
+/// * `capture`: install a JSON-lines file sink at this path; the recording
+///   mask comes from `ALSS_TELEMETRY`, defaulting to everything.
+/// * Without `capture`, `ALSS_TELEMETRY` alone installs the stderr sink
+///   (see [`init_from_env`]).
+/// * Built without the `telemetry` feature, the capture path is
+///   acknowledged with a warning and ignored: probes are compiled out.
+pub fn setup(topic: &str, capture: Option<&str>) -> TelemetryGuard {
+    let Some(path) = capture else {
+        return TelemetryGuard {
+            active: init_from_env() != 0,
+        };
+    };
+    if !compiled_in() {
+        progress(
+            topic,
+            "--telemetry ignored: binary built without --features telemetry",
+        );
+        return TelemetryGuard { active: false };
+    }
+    match JsonLinesSink::create(std::path::Path::new(path)) {
+        Ok(sink) => {
+            install(Arc::new(sink), mask_from_env().unwrap_or(Category::ALL));
+            TelemetryGuard { active: true }
+        }
+        Err(e) => {
+            progress(topic, &format!("cannot open {path}: {e}"));
+            TelemetryGuard { active: false }
+        }
+    }
+}
+
 /// Route one event to the installed sink (no-op without one).
 pub fn emit(event: &Event) {
     if let Ok(guard) = SINK.read() {
@@ -255,6 +310,10 @@ pub fn emit_snapshot() {
 /// sink when one is present, and to stderr in the standard
 /// `[alss:<topic>] <message>` format otherwise (or when the sink asks for
 /// an echo, as the JSON-lines sink does).
+#[expect(
+    clippy::print_stderr,
+    reason = "the telemetry stderr escape hatch itself: progress must stay visible with no sink installed"
+)]
 pub fn progress(topic: &str, message: &str) {
     let ev = Event::Progress {
         topic: topic.to_string(),
@@ -268,8 +327,6 @@ pub fn progress(topic: &str, message: &str) {
         }
     }
     if !echoed {
-        // analyzer: allow(no-println) - this is the telemetry stderr escape
-        // hatch itself: progress must stay visible with no sink installed
         eprintln!("{}", ev.progress_line());
     }
 }

@@ -3,7 +3,11 @@
 //! the whole file is feature-gated; CI runs it via
 //! `cargo test -p alss-telemetry --features telemetry`.
 #![cfg(feature = "telemetry")]
-#![allow(clippy::unwrap_used, clippy::float_cmp)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::float_cmp,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
+)]
 
 use alss_telemetry::test_support::with_capture;
 use alss_telemetry::{

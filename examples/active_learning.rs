@@ -5,6 +5,12 @@
 //!
 //! Run: `cargo run --release --example active_learning`
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an example prints its results and aborts on a broken fixture"
+)]
+
 use alss::core::train::encode_workload;
 use alss::core::{
     active_round, LearnedSketch, PoolItem, QErrorStats, SketchConfig, Strategy, TrainConfig,

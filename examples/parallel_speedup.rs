@@ -5,6 +5,12 @@
 //!
 //! Run: `cargo run --release --example parallel_speedup [-- <threads...>]`
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an example prints its results and aborts on a broken fixture"
+)]
+
 use alss::core::train::{encode_workload_with, train_model, TrainConfig};
 use alss::core::{Encoder, LssConfig, LssModel, Parallelism};
 use alss::datasets::queries::WorkloadSpec;

@@ -5,6 +5,12 @@
 //!
 //! Run: `cargo run --release --example query_optimizer`
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an example prints its results and aborts on a broken fixture"
+)]
+
 use alss::core::workload::{LabeledQuery, Workload};
 use alss::core::{LearnedSketch, SketchConfig};
 use alss::datasets::by_name;

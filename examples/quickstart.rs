@@ -3,6 +3,12 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an example prints its results and aborts on a broken fixture"
+)]
+
 use alss::core::{LearnedSketch, QErrorStats, SketchConfig};
 use alss::datasets::queries::WorkloadSpec;
 use alss::datasets::{by_name, generate_workload};

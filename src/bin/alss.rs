@@ -23,6 +23,12 @@
 //! Graphs use the line-oriented text format of `alss::graph::io`
 //! (`t/v/e` records); workloads and sketches are JSON.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "stdout and stderr are the CLI's interface"
+)]
+
 use alss::core::{LearnedSketch, QErrorStats, SketchConfig, TrainConfig, Workload};
 use alss::datasets::queries::WorkloadSpec;
 use alss::datasets::{by_name, generate_workload};
@@ -292,7 +298,11 @@ fn cmd_decompose(args: &Args) -> Result<(), String> {
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let threads: usize = args.parsed("threads", 0)?;
-    let _guard = alss::serve::init_telemetry("serve", args.get("telemetry"), Some(threads));
+    if threads > 0 {
+        alss::core::set_global_threads(threads);
+        alss_telemetry::progress("serve", &format!("threads: {threads}"));
+    }
+    let _guard = alss_telemetry::setup("serve", args.get("telemetry"));
     let cfg = alss::serve::ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:0").to_string(),
         data_path: args.require("graph")?.into(),

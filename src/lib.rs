@@ -58,17 +58,6 @@
 //! assert!(sketch.estimate(&q) >= 1.0);
 //! ```
 
-// Test modules opt back out of the library panic/numeric policy: a panic
-// IS the failure report there, and fixtures are tiny.
-#![cfg_attr(
-    test,
-    allow(
-        clippy::unwrap_used,
-        clippy::float_cmp,
-        clippy::cast_possible_truncation
-    )
-)]
-
 pub use alss_core as core;
 pub use alss_datasets as datasets;
 pub use alss_embedding as embedding;

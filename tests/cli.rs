@@ -1,12 +1,12 @@
 //! End-to-end smoke test of the `alss` CLI binary: generate → workload →
 //! train → estimate/count/evaluate/stats/decompose over temp files.
 
-// Test code opts back out of the library panic policy: a panic IS the
-// failure report here.
 #![allow(
     clippy::unwrap_used,
+    clippy::expect_used,
     clippy::cast_possible_truncation,
-    clippy::float_cmp
+    clippy::float_cmp,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 use std::path::PathBuf;
 use std::process::Command;
@@ -15,15 +15,17 @@ fn alss() -> Command {
     Command::new(env!("CARGO_BIN_EXE_alss"))
 }
 
-fn tmpdir() -> PathBuf {
-    let d = std::env::temp_dir().join(format!("alss_cli_test_{}", std::process::id()));
+/// A scratch directory private to one test: tests in this binary run in
+/// parallel and each removes its own directory when done.
+fn tmpdir(test: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("alss_cli_test_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&d).expect("mkdir");
     d
 }
 
 #[test]
 fn full_cli_pipeline() {
-    let dir = tmpdir();
+    let dir = tmpdir("full_cli_pipeline");
     let graph = dir.join("g.txt");
     let workload = dir.join("w.json");
     let sketch = dir.join("s.json");
@@ -190,7 +192,7 @@ fn cli_reports_errors_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--out"));
 
     // unknown dataset
-    let dir = tmpdir();
+    let dir = tmpdir("cli_reports_errors_cleanly");
     let out = alss()
         .args([
             "generate",

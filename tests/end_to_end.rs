@@ -2,12 +2,12 @@
 //! sketch training → estimation → active learning, across every workspace
 //! crate.
 
-// Test code opts back out of the library panic policy: a panic IS the
-// failure report here.
 #![allow(
     clippy::unwrap_used,
+    clippy::expect_used,
     clippy::cast_possible_truncation,
-    clippy::float_cmp
+    clippy::float_cmp,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 use alss::core::train::encode_workload;
 use alss::core::{

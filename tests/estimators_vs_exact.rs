@@ -1,12 +1,12 @@
 //! Cross-crate checks of every baseline estimator against the exact
 //! engine on generated datasets and extracted queries.
 
-// Test code opts back out of the library panic policy: a panic IS the
-// failure report here.
 #![allow(
     clippy::unwrap_used,
+    clippy::expect_used,
     clippy::cast_possible_truncation,
-    clippy::float_cmp
+    clippy::float_cmp,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 use alss::datasets::by_name;
 use alss::datasets::queries::unlabeled_pool;

@@ -2,12 +2,11 @@
 //! crates: decomposition validity, plan costing, and the oracle property
 //! that a perfect cost estimator picks the true-cheapest plan.
 
-// Test code opts back out of the library panic policy: a panic IS the
-// failure report here.
 #![allow(
     clippy::unwrap_used,
     clippy::cast_possible_truncation,
-    clippy::float_cmp
+    clippy::float_cmp,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 use alss::datasets::by_name;
 use alss::datasets::queries::{assign_pattern_labels, unlabeled_patterns};

@@ -2,12 +2,11 @@
 //! entity): matching semantics, statistics, encoding, and end-to-end
 //! training over a multi-label knowledge-graph analogue.
 
-// Test code opts back out of the library panic policy: a panic IS the
-// failure report here.
 #![allow(
     clippy::unwrap_used,
     clippy::cast_possible_truncation,
-    clippy::float_cmp
+    clippy::float_cmp,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 use alss::core::workload::LabeledQuery;
 use alss::core::{Encoder, LearnedSketch, SketchConfig, TrainConfig, Workload};

@@ -1,12 +1,11 @@
 //! Property-based tests (proptest) over the core data structures and
 //! algorithmic invariants, spanning crates.
 
-// Test code opts back out of the library panic policy: a panic IS the
-// failure report here, and index-sized casts are bounded by tiny fixtures.
 #![allow(
     clippy::unwrap_used,
     clippy::cast_possible_truncation,
-    clippy::float_cmp
+    clippy::float_cmp,
+    reason = "test code: a panic IS the failure report, and fixtures are tiny"
 )]
 
 use alss::core::q_error;
